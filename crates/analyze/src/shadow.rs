@@ -5,13 +5,13 @@
 //! cleanup to whole-policy analysis without the O(n²) scan: rules are
 //! grouped by attribute-set signature, and within a group a rule's
 //! potential subsumers are enumerated as the Cartesian product of its
-//! values' **ancestor chains** (self → taxonomy root) and found by hash
-//! lookup. Rule `B` subsumes rule `A` iff, per attribute, `B`'s value is
-//! an ancestor of (or equal to) `A`'s value — so every subsumer of `A`
-//! *is* one of those ancestor combinations. Chain lengths are bounded by
-//! taxonomy height, making the product small (≤ `height^#R`); a
-//! configurable cap falls back to the pairwise scan for pathological
-//! depths.
+//! values' **ancestor chains** (self → taxonomy root) and found by
+//! looking up each combination's packed value-id key. Rule `B` subsumes
+//! rule `A` iff, per attribute, `B`'s value is an ancestor of (or equal
+//! to) `A`'s value — so every subsumer of `A` *is* one of those ancestor
+//! combinations. Chain lengths are bounded by taxonomy height, making the
+//! product small (≤ `height^#R`); a configurable cap falls back to the
+//! pairwise scan for pathological depths.
 
 use prima_model::diag::{DiagCode, DiagLocation, Diagnostic};
 use prima_model::{rule_subsumes, Policy, Rule};
@@ -40,11 +40,6 @@ pub fn shadowing_pass(policy: &Policy, vocab: &Vocabulary, chain_cap: usize) -> 
     diags
 }
 
-/// The exact value tuple of a rule (terms are attribute-sorted).
-fn value_tuple(rule: &Rule) -> Vec<String> {
-    rule.terms().iter().map(|t| t.value.clone()).collect()
-}
-
 fn shadow_group(
     policy: &Policy,
     rules: &[Rule],
@@ -53,59 +48,114 @@ fn shadow_group(
     chain_cap: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // Exact value tuple → smallest rule index carrying it.
-    let mut by_tuple: HashMap<Vec<String>, usize> = HashMap::new();
+    // Per attribute position, the group's values get dense ids, and a
+    // value tuple packs into one mixed-radix `u128` key, so probing an
+    // ancestor combination is a binary search that hashes nothing.
+    let signature = rules[indexes[0]].terms();
+    let mut ids: Vec<HashMap<&str, u128>> = vec![HashMap::new(); signature.len()];
     for &i in indexes {
-        by_tuple.entry(value_tuple(&rules[i])).or_insert(i);
+        for (k, t) in rules[i].terms().iter().enumerate() {
+            let next = ids[k].len() as u128;
+            ids[k].entry(t.value.as_str()).or_insert(next);
+        }
     }
+    let Some(weights) = place_values(&ids) else {
+        for &i in indexes {
+            if let Some(j) = find_subsumer_pairwise(i, &rules[i], indexes, rules, vocab) {
+                diags.push(shadow_diagnostic(policy, rules, i, j));
+            }
+        }
+        return;
+    };
+    // Per position, each value's ancestor chain (self first) as weighted
+    // ids; an ancestor no rule of the group carries cannot match.
+    let chain_of: Vec<HashMap<&str, Vec<u128>>> = signature
+        .iter()
+        .zip(&ids)
+        .zip(&weights)
+        .map(|((term, m), w)| {
+            m.keys()
+                .map(|&value| {
+                    let chain = vocab
+                        .ancestor_values(&term.attr, value)
+                        .iter()
+                        .filter_map(|a| m.get(a.as_str()).map(|id| id * w))
+                        .collect();
+                    (value, chain)
+                })
+                .collect()
+        })
+        .collect();
+    let key_of = |rule: &Rule| -> u128 {
+        rule.terms()
+            .iter()
+            .zip(&ids)
+            .zip(&weights)
+            .map(|((t, m), w)| m[t.value.as_str()] * w)
+            .sum()
+    };
+
+    // Exact value tuple key → smallest rule index carrying it, sorted.
+    let mut by_key: Vec<(u128, usize)> = indexes.iter().map(|&i| (key_of(&rules[i]), i)).collect();
+    by_key.sort_unstable();
+    by_key.dedup_by_key(|e| e.0);
 
     for &i in indexes {
         let rule = &rules[i];
-        let own = value_tuple(rule);
-        // Ancestor chain per term, canonical names, self first.
-        let chains: Vec<Vec<String>> = rule
+        let chains: Vec<&[u128]> = rule
             .terms()
             .iter()
-            .map(|t| vocab.ancestor_values(&t.attr, &t.value))
+            .zip(&chain_of)
+            .map(|(t, c)| c[t.value.as_str()].as_slice())
             .collect();
         let product: usize = chains
             .iter()
-            .map(Vec::len)
+            .map(|c| c.len())
             .try_fold(1usize, |acc, len| acc.checked_mul(len))
             .unwrap_or(usize::MAX);
-
         let subsumer = if product <= chain_cap {
-            find_subsumer_indexed(i, &own, &chains, &by_tuple)
+            find_subsumer_indexed(i, key_of(rule), &chains, &by_key)
         } else {
             find_subsumer_pairwise(i, rule, indexes, rules, vocab)
         };
-
         if let Some(j) = subsumer {
             diags.push(shadow_diagnostic(policy, rules, i, j));
         }
     }
 }
 
-/// Hash-indexed subsumer search: enumerate ancestor combinations of
-/// rule `i`'s values and look each tuple up. The identical tuple counts
+/// Mixed-radix place values that pack one id per attribute position into
+/// a `u128`, or `None` when the group's key space overflows it.
+fn place_values(ids: &[HashMap<&str, u128>]) -> Option<Vec<u128>> {
+    let mut radix = 1u128;
+    let mut weights = Vec::with_capacity(ids.len());
+    for m in ids {
+        weights.push(radix);
+        radix = radix.checked_mul(m.len() as u128)?;
+    }
+    Some(weights)
+}
+
+/// Indexed subsumer search: enumerate ancestor combinations of rule `i`'s
+/// values and look each packed tuple key up. The identical tuple counts
 /// only when a *different* (earlier) rule carries it — an exact
 /// duplicate.
 fn find_subsumer_indexed(
     i: usize,
-    own: &[String],
-    chains: &[Vec<String>],
-    by_tuple: &HashMap<Vec<String>, usize>,
+    own: u128,
+    chains: &[&[u128]],
+    by_key: &[(u128, usize)],
 ) -> Option<usize> {
+    if chains.iter().any(|c| c.is_empty()) {
+        return None;
+    }
     let mut best: Option<usize> = None;
     let mut cursor = vec![0usize; chains.len()];
     loop {
-        let tuple: Vec<String> = cursor
-            .iter()
-            .zip(chains)
-            .map(|(&c, chain)| chain[c].clone())
-            .collect();
-        if let Some(&j) = by_tuple.get(&tuple) {
-            let hit = if tuple == own { j < i } else { j != i };
+        let key: u128 = cursor.iter().zip(chains).map(|(&c, chain)| chain[c]).sum();
+        if let Ok(pos) = by_key.binary_search_by_key(&key, |e| e.0) {
+            let j = by_key[pos].1;
+            let hit = if key == own { j < i } else { j != i };
             if hit && best.is_none_or(|b| j < b) {
                 best = Some(j);
             }

@@ -1,7 +1,7 @@
 //! The audit entry type (the paper's Section 4.2 schema).
 
 use crate::schema;
-use prima_model::{GroundRule, ModelError, RuleTerm};
+use prima_model::{GroundRule, ModelError};
 use prima_store::{Row, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -122,11 +122,16 @@ impl AuditEntry {
     /// normalized by `RuleTerm` construction, so `Referral` in a log matches
     /// `referral` in a policy.
     pub fn to_ground_rule(&self) -> Result<GroundRule, ModelError> {
-        GroundRule::new(vec![
-            RuleTerm::new("data", &self.data)?,
-            RuleTerm::new("purpose", &self.purpose)?,
-            RuleTerm::new("authorized", &self.authorized)?,
-        ])
+        GroundRule::access(&self.data, &self.purpose, &self.authorized)
+    }
+
+    /// True iff [`Self::to_ground_rule`] succeeds, decided without
+    /// allocating: `data`, `purpose` and `authorized` are all non-empty
+    /// after normalization.
+    pub fn is_groundable(&self) -> bool {
+        [&self.data, &self.purpose, &self.authorized]
+            .iter()
+            .all(|v| !prima_vocab::normalizes_empty(v))
     }
 
     /// Converts to the relational row form (column order of
@@ -214,6 +219,17 @@ mod tests {
             g.compact(&["data", "purpose", "authorized"]),
             "referral:registration:nurse"
         );
+    }
+
+    #[test]
+    fn groundable_iff_projection_succeeds() {
+        let mut e = entry();
+        assert!(e.is_groundable());
+        for blank in ["", "  ", "_", " - "] {
+            e.purpose = blank.into();
+            assert!(!e.is_groundable());
+            assert!(e.to_ground_rule().is_err());
+        }
     }
 
     #[test]

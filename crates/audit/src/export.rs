@@ -81,4 +81,13 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(s2.entries(), s.entries());
     }
+
+    #[test]
+    fn import_rejects_an_ungroundable_line() {
+        let line = "{\"time\":1,\"op\":\"Allow\",\"user\":\"u\",\"data\":\"\",\"purpose\":\"p\",\"authorized\":\"a\",\"status\":\"Regular\"}\n";
+        let s = AuditStore::new("c");
+        let err = import_into_store(line.as_bytes(), &s).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(s.is_empty());
+    }
 }

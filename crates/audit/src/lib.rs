@@ -13,8 +13,8 @@
 //! * [`AuditEntry`] — the typed entry, with lossless conversion to/from the
 //!   relational row form the analytics queries run on, and projection to the
 //!   `(data, purpose, authorized)` ground rule the formal model uses;
-//! * [`AuditStore`] — a thread-safe, append-only audit trail backed by a
-//!   `prima-store` table;
+//! * [`AuditStore`] — a thread-safe, append-only audit trail that admits
+//!   only entries projectable to a ground rule;
 //! * [`federation`] — the role DB2 Information Integrator plays in the
 //!   paper's first instantiation: a consolidated virtual view over many
 //!   per-site audit trails, with provenance;

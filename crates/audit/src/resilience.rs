@@ -308,7 +308,7 @@ fn consolidate(
     for record in records {
         match record {
             RawRecord::Entry(e) => {
-                if e.to_ground_rule().is_ok() {
+                if e.is_groundable() {
                     entries.push(e);
                 } else {
                     quarantine.park(name, round, e.to_string(), QuarantineReason::EmptyAttribute);
@@ -328,7 +328,7 @@ fn consolidate(
 mod tests {
     use super::*;
     use crate::retry::BreakerState;
-    use crate::source::{FaultySource, SourceFaults, StoreSource};
+    use crate::source::{FaultySource, FetchResponse, SourceFaults, StoreSource};
     use crate::store::AuditStore;
 
     fn site(name: &str, times: &[i64]) -> AuditStore {
@@ -536,21 +536,28 @@ mod tests {
 
     #[test]
     fn unprojectable_entries_are_quarantined_with_reason() {
-        let store = AuditStore::new("blank");
-        store
-            .append(&AuditEntry::regular(1, "u", "", "treatment", "nurse"))
-            .unwrap();
-        store
-            .append(&AuditEntry::regular(
-                2,
-                "u",
-                "referral",
-                "treatment",
-                "nurse",
-            ))
-            .unwrap();
+        // Stores refuse ungroundable entries, but a remote site's wire
+        // records arrive unchecked.
+        #[derive(Debug)]
+        struct Wire(Vec<AuditEntry>);
+        impl LogSource for Wire {
+            fn name(&self) -> &str {
+                "blank"
+            }
+            fn fetch(&mut self) -> Result<FetchResponse, SourceError> {
+                Ok(FetchResponse {
+                    records: self.0.iter().cloned().map(RawRecord::Entry).collect(),
+                    expected: self.0.len(),
+                    latency: Duration::ZERO,
+                })
+            }
+        }
         let mut f = fed();
-        f.attach(Box::new(StoreSource::new(store))).unwrap();
+        f.attach(Box::new(Wire(vec![
+            AuditEntry::regular(1, "u", "", "treatment", "nurse"),
+            AuditEntry::regular(2, "u", "referral", "treatment", "nurse"),
+        ])))
+        .unwrap();
         let h = f.sync();
         assert_eq!(h.source("blank").unwrap().fetched, 1);
         assert_eq!(h.source("blank").unwrap().quarantined, 1);

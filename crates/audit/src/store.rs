@@ -1,32 +1,34 @@
 //! The append-only audit store.
 
 use crate::entry::AuditEntry;
-use crate::schema::{audit_schema, COL_STATUS};
 use parking_lot::RwLock;
-use prima_model::{GroundRule, Policy, StoreTag};
-use prima_store::predicate::CmpOp;
-use prima_store::{Predicate, Row, StoreError, Table, Value};
+use prima_model::{GroundRule, ModelError, Policy, StoreTag};
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// A thread-safe, append-only audit trail (one per site/log source).
 ///
 /// HDB Compliance Auditing appends while Policy Refinement reads, so the
-/// underlying table sits behind a `parking_lot::RwLock`. Reads hand out
-/// snapshots (cloned tables or materialized entry vectors) so analysis runs
-/// on a consistent view without holding the lock.
+/// entries sit behind a `parking_lot::RwLock`. Reads hand out materialized
+/// snapshots so analysis runs on a consistent view without holding the
+/// lock.
+///
+/// Every stored entry is groundable: appends reject an entry whose
+/// `data`, `purpose` or `authorized` is empty after normalization, so
+/// [`AuditEntry::to_ground_rule`] succeeds on everything a store returns.
 #[derive(Debug, Clone)]
 pub struct AuditStore {
     name: String,
-    table: Arc<RwLock<Table>>,
+    entries: Arc<RwLock<Vec<AuditEntry>>>,
 }
 
 impl AuditStore {
     /// Creates an empty store; `name` identifies the log source (e.g. a
-    /// department system) and becomes the table name.
+    /// department system).
     pub fn new(name: &str) -> Self {
         Self {
             name: name.to_string(),
-            table: Arc::new(RwLock::new(Table::new(name, audit_schema()))),
+            entries: Arc::new(RwLock::new(Vec::new())),
         }
     }
 
@@ -36,22 +38,39 @@ impl AuditStore {
     }
 
     /// Appends one entry.
-    pub fn append(&self, entry: &AuditEntry) -> Result<(), StoreError> {
-        self.table.write().insert(entry.to_row()).map(|_| ())
+    ///
+    /// # Errors
+    /// [`ModelError::EmptyTerm`] if the entry cannot be grounded; nothing
+    /// is written.
+    pub fn append(&self, entry: &AuditEntry) -> Result<(), ModelError> {
+        if !entry.is_groundable() {
+            return Err(ModelError::EmptyTerm);
+        }
+        self.entries.write().push(entry.clone());
+        Ok(())
     }
 
-    /// Appends many entries (one lock acquisition).
+    /// Appends many entries (one lock acquisition). All or nothing: one
+    /// ungroundable entry rejects the whole batch.
+    ///
+    /// # Errors
+    /// [`ModelError::EmptyTerm`] if any entry cannot be grounded.
     pub fn append_all<'a, I: IntoIterator<Item = &'a AuditEntry>>(
         &self,
         entries: I,
-    ) -> Result<usize, StoreError> {
-        let rows: Vec<Row> = entries.into_iter().map(AuditEntry::to_row).collect();
-        self.table.write().insert_all(rows)
+    ) -> Result<usize, ModelError> {
+        let batch: Vec<AuditEntry> = entries.into_iter().cloned().collect();
+        if !batch.iter().all(AuditEntry::is_groundable) {
+            return Err(ModelError::EmptyTerm);
+        }
+        let n = batch.len();
+        self.entries.write().extend(batch);
+        Ok(n)
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.table.read().len()
+        self.entries.read().len()
     }
 
     /// True iff no entries have been recorded.
@@ -59,32 +78,18 @@ impl AuditStore {
         self.len() == 0
     }
 
-    /// A consistent snapshot of the underlying table (for the query engine).
-    pub fn snapshot_table(&self) -> Table {
-        self.table.read().clone()
-    }
-
     /// All entries, in append order.
     pub fn entries(&self) -> Vec<AuditEntry> {
-        self.table
-            .read()
-            .scan()
-            .map(|r| AuditEntry::from_row(r).expect("audit rows round-trip by construction"))
-            .collect()
+        self.entries.read().clone()
     }
 
     /// Entries with `status = exception` — what Algorithm 3 keeps.
     pub fn exception_entries(&self) -> Vec<AuditEntry> {
-        let pred = Predicate::Compare {
-            column: COL_STATUS.into(),
-            op: CmpOp::Eq,
-            value: Value::Int(0),
-        };
-        let table = self.table.read();
-        table
-            .scan_where(&pred)
-            .expect("status column exists in the audit schema")
-            .map(|r| AuditEntry::from_row(r).expect("audit rows round-trip by construction"))
+        self.entries
+            .read()
+            .iter()
+            .filter(|e| e.is_exception())
+            .cloned()
             .collect()
     }
 
@@ -99,22 +104,30 @@ impl AuditStore {
     /// One `(data, purpose, authorized)` ground rule per entry, in append
     /// order (the multiset view used by entry-weighted coverage).
     pub fn ground_rules(&self) -> Vec<GroundRule> {
-        self.table
+        self.entries
             .read()
-            .scan()
-            .map(|r| {
-                AuditEntry::from_row(r)
-                    .expect("audit rows round-trip by construction")
-                    .to_ground_rule()
-                    .expect("audit entries carry non-empty attributes")
+            .iter()
+            .map(|e| {
+                e.to_ground_rule()
+                    .expect("appends admit only groundable entries")
             })
             .collect()
     }
 
     /// Approximate storage footprint in bytes (experiment E6 reports
-    /// bytes/entry).
+    /// bytes/entry): the entry slots plus the heap bytes of their strings.
     pub fn approx_bytes(&self) -> usize {
-        self.table.read().approx_bytes()
+        let entries = self.entries.read();
+        entries.capacity() * size_of::<AuditEntry>()
+            + entries
+                .iter()
+                .map(|e| {
+                    e.user.capacity()
+                        + e.data.capacity()
+                        + e.purpose.capacity()
+                        + e.authorized.capacity()
+                })
+                .sum::<usize>()
     }
 }
 
@@ -183,11 +196,22 @@ mod tests {
     #[test]
     fn snapshot_is_isolated_from_later_appends() {
         let s = store();
-        let snap = s.snapshot_table();
+        let snap = s.entries();
         s.append(&AuditEntry::regular(4, "x", "d", "p", "a"))
             .unwrap();
         assert_eq!(snap.len(), 3);
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn ungroundable_entries_are_rejected_whole_batch() {
+        let s = store();
+        let blank = AuditEntry::regular(4, "x", "referral", "  ", "nurse");
+        assert_eq!(s.append(&blank), Err(ModelError::EmptyTerm));
+        let ok = AuditEntry::regular(5, "y", "referral", "treatment", "nurse");
+        assert_eq!(s.append_all([&ok, &blank]), Err(ModelError::EmptyTerm));
+        assert_eq!(s.len(), 3, "nothing of a rejected batch is written");
+        assert_eq!(s.ground_rules().len(), 3);
     }
 
     #[test]
@@ -202,12 +226,12 @@ mod tests {
 
     #[test]
     fn clone_is_a_cheap_shared_handle() {
-        // Cloning must share the one table behind the lock, not deep-copy
+        // Cloning must share the one trail behind the lock, not deep-copy
         // it: the stream engine clones its sink per ingest site, and the
         // federation registers the same store the engine writes to.
         let a = store();
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.table, &b.table));
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
         b.append(&AuditEntry::regular(9, "zoe", "claim", "billing", "clerk"))
             .unwrap();
         assert_eq!(a.len(), 4, "append via one clone is visible via the other");

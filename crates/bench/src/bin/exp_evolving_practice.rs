@@ -13,6 +13,7 @@ use prima_audit::AuditStore;
 use prima_bench::{banner, render_table};
 use prima_core::{PrimaSystem, ReviewMode};
 use prima_mining::{MinerConfig, SqlMiner};
+use prima_model::PolicyMatcher;
 use prima_workload::sim::{entries, SimConfig, Simulator};
 use prima_workload::{PracticeCluster, Scenario};
 
@@ -30,26 +31,15 @@ fn main() {
     for round in 1..=rounds {
         // Open clusters: base ones not yet absorbed, plus the emerging one
         // from round 5.
+        let matcher = PolicyMatcher::new(&policy, &scenario.vocab);
         let mut open: Vec<PracticeCluster> = scenario
             .clusters
             .iter()
-            .filter(|c| {
-                !policy
-                    .rules()
-                    .iter()
-                    .any(|r| r.expansion_contains(&c.to_ground_rule(), &scenario.vocab))
-            })
+            .filter(|c| !matcher.covers(&c.to_ground_rule()))
             .cloned()
             .collect();
-        if round >= 5 {
-            let g = emerging.to_ground_rule();
-            if !policy
-                .rules()
-                .iter()
-                .any(|r| r.expansion_contains(&g, &scenario.vocab))
-            {
-                open.push(emerging.clone());
-            }
+        if round >= 5 && !matcher.covers(&emerging.to_ground_rule()) {
+            open.push(emerging.clone());
         }
         let informal_share = informal_rate_per_cluster * open.len() as f64;
 

@@ -192,6 +192,34 @@ mod tests {
     }
 
     #[test]
+    fn blank_purpose_query_leaves_the_trail_groundable() {
+        let mut cc = control_center();
+        // A rule naming the old `invalid` probe sentinel must not turn a
+        // blank purpose into a served request.
+        cc.define_rule("referral", "invalid", "nurse").unwrap();
+        run_clinic(&cc, &profiles(), 50, 3, 6, 0).unwrap();
+        let logged = cc.audit_store().len();
+        for req in [
+            AccessRequest::chosen(900, "tim", "nurse", "  ", "encounters", &["referral"]),
+            AccessRequest::break_the_glass(901, "mark", "nurse", "  ", "encounters", &["referral"]),
+        ] {
+            assert!(cc.query(&req).is_err(), "{req:?}");
+        }
+        assert_eq!(
+            cc.audit_store().len(),
+            logged,
+            "nothing ungroundable is written"
+        );
+
+        let mut prima = PrimaSystem::new(figure_1(), cc.policy().clone());
+        prima
+            .attach_store(cc.audit_store().clone())
+            .expect("unique source name");
+        assert_eq!(prima.entry_coverage().total_entries, logged);
+        prima.run_round(ReviewMode::AutoAccept).unwrap();
+    }
+
+    #[test]
     #[should_panic(expected = "at least one profile")]
     fn empty_profiles_panic() {
         let cc = control_center();

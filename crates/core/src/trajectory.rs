@@ -11,6 +11,7 @@
 use crate::system::{PrimaSystem, ReviewMode};
 use prima_audit::AuditStore;
 use prima_mining::MiningError;
+use prima_model::PolicyMatcher;
 use prima_workload::sim::{entries as strip_labels, SimConfig, Simulator};
 use prima_workload::{PracticeCluster, Scenario};
 
@@ -79,17 +80,11 @@ pub fn run_trajectory(
     for round in 1..=config.rounds {
         // Clusters already absorbed into policy run through the regular
         // flow now; only the still-uncovered ones break the glass.
+        let matcher = PolicyMatcher::new(system.policy(), &scenario.vocab);
         let open: Vec<PracticeCluster> = scenario
             .clusters
             .iter()
-            .filter(|c| {
-                let g = c.to_ground_rule();
-                !system
-                    .policy()
-                    .rules()
-                    .iter()
-                    .any(|r| r.expansion_contains(&g, &scenario.vocab))
-            })
+            .filter(|c| !matcher.covers(&c.to_ground_rule()))
             .cloned()
             .collect();
         let open_count = open.len();

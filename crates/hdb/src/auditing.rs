@@ -69,7 +69,7 @@ impl ComplianceAuditing {
             .collect();
         self.store
             .append_all(selected.iter().copied())
-            .map_err(HdbError::from)
+            .map_err(|e| HdbError::Store(e.to_string()))
     }
 }
 

@@ -21,7 +21,6 @@ pub struct ControlCenter {
     catalog: Catalog,
     enforcement: ActiveEnforcement,
     auditing: ComplianceAuditing,
-    column_map_staging: ColumnMap,
 }
 
 impl ControlCenter {
@@ -39,7 +38,6 @@ impl ControlCenter {
             catalog: Catalog::new(),
             enforcement,
             auditing: ComplianceAuditing::new(AuditStore::new("audit")),
-            column_map_staging: ColumnMap::new(),
         }
     }
 
@@ -56,10 +54,10 @@ impl ControlCenter {
     ) -> Result<(), StoreError> {
         let name = table.name().to_string();
         self.catalog.register(table)?;
+        let columns = self.enforcement.columns_mut();
         for (column, category) in mappings {
-            self.column_map_staging.map(&name, column, category);
+            columns.map(&name, column, category);
         }
-        self.sync_enforcement();
         Ok(())
     }
 
@@ -120,33 +118,6 @@ impl ControlCenter {
         }
         Ok(result)
     }
-
-    fn sync_enforcement(&mut self) {
-        let policy = self.enforcement.policy().clone();
-        let consent = std::mem::take(self.enforcement.consent_mut());
-        self.enforcement = ActiveEnforcement::new(
-            policy,
-            self.vocab_clone(),
-            self.column_map_staging.clone(),
-            consent,
-            &self.patient_column_clone(),
-        );
-    }
-
-    fn vocab_clone(&self) -> Vocabulary {
-        // ActiveEnforcement owns its vocabulary; reconstruct from it via a
-        // stored copy. (Kept private: the control center is the only writer.)
-        self.enforcement_vocab().clone()
-    }
-
-    fn enforcement_vocab(&self) -> &Vocabulary {
-        // Accessor into the enforcement's vocabulary.
-        self.enforcement.vocab()
-    }
-
-    fn patient_column_clone(&self) -> String {
-        self.enforcement.patient_column().to_string()
-    }
 }
 
 #[cfg(test)]
@@ -201,6 +172,15 @@ mod tests {
         assert!(matches!(err, HdbError::PolicyDenied { .. }));
         assert_eq!(cc.audit_store().len(), 1);
         assert_eq!(cc.audit_store().entries()[0].op, Op::Disallow);
+    }
+
+    #[test]
+    fn blank_purpose_is_refused_and_not_written() {
+        let mut cc = center();
+        cc.define_rule("referral", "invalid", "nurse").unwrap();
+        let req = AccessRequest::chosen(5, "tim", "nurse", " ", "encounters", &["referral"]);
+        assert!(cc.query(&req).is_err());
+        assert!(cc.audit_store().is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! For each requested column, AE asks the formal model whether the policy
 //! store sanctions `(data = category(column), purpose, authorized = role)`
-//! — the same lazy subsumption test the coverage engine uses, so policy
+//! — through the same [`PolicyMatcher`] the coverage engine uses, so policy
 //! semantics are identical everywhere. Unsanctioned columns are suppressed
 //! (or, under break-the-glass, served and audited as exceptions). Consent
 //! is enforced at cell granularity: cells of patients who opted out of the
@@ -12,10 +12,11 @@ use crate::consent::ConsentRegistry;
 use crate::error::HdbError;
 use crate::request::{AccessMode, AccessRequest};
 use prima_audit::{AccessStatus, AuditEntry, Op};
-use prima_model::{GroundRule, Policy, RuleTerm};
+use prima_model::{GroundRule, Policy, PolicyMatcher};
 use prima_store::{Predicate, Row, Table, Value};
 use prima_vocab::{normalize, Vocabulary};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Maps `(table, column)` to the privacy-vocabulary data category the
 /// column carries. Enforcement fails closed on unmapped columns.
@@ -78,8 +79,7 @@ pub struct EnforcedResult {
 /// The Active Enforcement middleware.
 #[derive(Debug, Clone)]
 pub struct ActiveEnforcement {
-    policy: Policy,
-    vocab: Vocabulary,
+    matcher: PolicyMatcher,
     columns: ColumnMap,
     consent: ConsentRegistry,
     patient_column: String,
@@ -96,8 +96,7 @@ impl ActiveEnforcement {
         patient_column: &str,
     ) -> Self {
         Self {
-            policy,
-            vocab,
+            matcher: PolicyMatcher::with_shared_vocab(&policy, Arc::new(vocab)),
             columns,
             consent,
             patient_column: patient_column.to_string(),
@@ -106,13 +105,13 @@ impl ActiveEnforcement {
 
     /// The policy store this middleware enforces.
     pub fn policy(&self) -> &Policy {
-        &self.policy
+        self.matcher.policy()
     }
 
     /// Replaces the enforced policy (the refinement loop does this after
     /// stakeholders accept new rules).
     pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
+        self.matcher = PolicyMatcher::with_shared_vocab(&policy, Arc::clone(self.matcher.vocab()));
     }
 
     /// Mutable access to the consent registry.
@@ -120,9 +119,14 @@ impl ActiveEnforcement {
         &mut self.consent
     }
 
+    /// Mutable access to the column → data-category map.
+    pub fn columns_mut(&mut self) -> &mut ColumnMap {
+        &mut self.columns
+    }
+
     /// The vocabulary enforcement decisions are made against.
     pub fn vocab(&self) -> &Vocabulary {
-        &self.vocab
+        self.matcher.vocab()
     }
 
     /// The configured patient-identifier column name.
@@ -130,22 +134,10 @@ impl ActiveEnforcement {
         &self.patient_column
     }
 
-    /// Does the policy store sanction `(category, purpose, role)`?
+    /// Does the policy store sanction `(category, purpose, role)`? An
+    /// access with a blank field is never sanctioned.
     pub fn policy_allows(&self, category: &str, purpose: &str, role: &str) -> bool {
-        let probe = match GroundRule::new(vec![
-            RuleTerm::new("data", category).unwrap_or_else(|_| RuleTerm::of("data", "invalid")),
-            RuleTerm::new("purpose", purpose)
-                .unwrap_or_else(|_| RuleTerm::of("purpose", "invalid")),
-            RuleTerm::new("authorized", role)
-                .unwrap_or_else(|_| RuleTerm::of("authorized", "invalid")),
-        ]) {
-            Ok(g) => g,
-            Err(_) => return false,
-        };
-        self.policy
-            .rules()
-            .iter()
-            .any(|r| r.expansion_contains(&probe, &self.vocab))
+        GroundRule::access(category, purpose, role).is_ok_and(|g| self.matcher.covers(&g))
     }
 
     /// Rewrites and executes `request` against `table`, producing served
@@ -266,7 +258,7 @@ impl ActiveEnforcement {
                 let mut v = row.get(*slot).clone();
                 if need_consent {
                     if let Some(p) = &patient {
-                        if !self.consent.permits(&self.vocab, p, cat, &request.purpose) {
+                        if !self.consent.permits(self.vocab(), p, cat, &request.purpose) {
                             v = Value::Null;
                             consent_suppressed_cells += 1;
                         }
@@ -516,5 +508,20 @@ mod tests {
         ]));
         ae.set_policy(p);
         assert!(ae.policy_allows("referral", "registration", "nurse"));
+    }
+
+    #[test]
+    fn blank_field_is_never_sanctioned_even_by_a_rule_naming_invalid() {
+        let mut ae = ae(ConsentRegistry::new());
+        let mut p = ae.policy().clone();
+        p.push(Rule::of(&[
+            ("data", "referral"),
+            ("purpose", "invalid"),
+            ("authorized", "nurse"),
+        ]));
+        ae.set_policy(p);
+        assert!(ae.policy_allows("referral", "invalid", "nurse"));
+        assert!(!ae.policy_allows("referral", "  ", "nurse"));
+        assert!(!ae.policy_allows("referral", "", "nurse"));
     }
 }

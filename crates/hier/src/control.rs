@@ -60,8 +60,6 @@ impl From<PathError> for TreeControlError {
 pub struct TreeControlCenter {
     documents: BTreeMap<String, Document>,
     enforcement: TreeEnforcement,
-    categories: PathCategoryMap,
-    vocab: Vocabulary,
     audit: AuditStore,
 }
 
@@ -69,17 +67,14 @@ impl TreeControlCenter {
     /// Creates a control center with an empty policy and a fresh audit
     /// store named `legacy-audit`.
     pub fn new(vocab: Vocabulary) -> Self {
-        let categories = PathCategoryMap::new();
         let enforcement = TreeEnforcement::new(
             Policy::new(prima_model::StoreTag::PolicyStore),
-            vocab.clone(),
-            categories.clone(),
+            vocab,
+            PathCategoryMap::new(),
         );
         Self {
             documents: BTreeMap::new(),
             enforcement,
-            categories,
-            vocab,
             audit: AuditStore::new("legacy-audit"),
         }
     }
@@ -100,8 +95,7 @@ impl TreeControlCenter {
 
     /// Maps a path pattern to a data category.
     pub fn map_category(&mut self, pattern: &str, category: &str) -> Result<(), TreeControlError> {
-        self.categories.map(pattern, category)?;
-        self.rebuild_enforcement();
+        self.enforcement.categories_mut().map(pattern, category)?;
         Ok(())
     }
 
@@ -166,14 +160,6 @@ impl TreeControlCenter {
             .map_err(|e| TreeControlError::Audit(e.to_string()))?;
         Ok(outcome)
     }
-
-    fn rebuild_enforcement(&mut self) {
-        self.enforcement = TreeEnforcement::new(
-            self.enforcement.policy().clone(),
-            self.vocab.clone(),
-            self.categories.clone(),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -210,6 +196,28 @@ mod tests {
             .unwrap();
         assert_eq!(out.served_categories, vec!["referral"]);
         assert_eq!(cc.audit_store().len(), out.audit_entries.len());
+    }
+
+    #[test]
+    fn blank_purpose_is_not_served_even_by_a_rule_naming_invalid() {
+        let mut cc = center();
+        cc.define_rule("referral", "invalid", "nurse").unwrap();
+        let out = cc.enforcement.enforce(
+            cc.documents.get("p1").unwrap(),
+            3,
+            "tim",
+            "nurse",
+            "  ",
+            TreeAccessMode::Chosen,
+        );
+        assert!(out.served_categories.is_empty(), "{out:?}");
+        assert!(cc
+            .fetch("p1", 3, "tim", "nurse", "  ", TreeAccessMode::Chosen)
+            .is_err());
+        assert!(
+            cc.audit_store().is_empty(),
+            "nothing ungroundable is written"
+        );
     }
 
     #[test]

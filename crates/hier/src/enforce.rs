@@ -13,9 +13,10 @@
 use crate::category::PathCategoryMap;
 use crate::doc::{Document, NodeId};
 use prima_audit::{AccessStatus, AuditEntry, Op};
-use prima_model::{GroundRule, Policy, RuleTerm};
+use prima_model::{GroundRule, Policy, PolicyMatcher};
 use prima_vocab::Vocabulary;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The result of enforcing a request over a document.
 #[derive(Debug, Clone)]
@@ -45,8 +46,7 @@ pub enum TreeAccessMode {
 /// Tree-aware Active Enforcement middleware.
 #[derive(Debug, Clone)]
 pub struct TreeEnforcement {
-    policy: Policy,
-    vocab: Vocabulary,
+    matcher: PolicyMatcher,
     categories: PathCategoryMap,
 }
 
@@ -54,36 +54,29 @@ impl TreeEnforcement {
     /// Builds the middleware.
     pub fn new(policy: Policy, vocab: Vocabulary, categories: PathCategoryMap) -> Self {
         Self {
-            policy,
-            vocab,
+            matcher: PolicyMatcher::with_shared_vocab(&policy, Arc::new(vocab)),
             categories,
         }
     }
 
     /// Replaces the enforced policy (after refinement).
     pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
+        self.matcher = PolicyMatcher::with_shared_vocab(&policy, Arc::clone(self.matcher.vocab()));
     }
 
     /// The enforced policy.
     pub fn policy(&self) -> &Policy {
-        &self.policy
+        self.matcher.policy()
     }
 
+    /// Mutable access to the path → data-category map.
+    pub fn categories_mut(&mut self) -> &mut PathCategoryMap {
+        &mut self.categories
+    }
+
+    /// An access with a blank field is never sanctioned.
     fn allows(&self, category: &str, purpose: &str, role: &str) -> bool {
-        let Ok(probe) = GroundRule::new(vec![
-            RuleTerm::new("data", category).unwrap_or_else(|_| RuleTerm::of("data", "invalid")),
-            RuleTerm::new("purpose", purpose)
-                .unwrap_or_else(|_| RuleTerm::of("purpose", "invalid")),
-            RuleTerm::new("authorized", role)
-                .unwrap_or_else(|_| RuleTerm::of("authorized", "invalid")),
-        ]) else {
-            return false;
-        };
-        self.policy
-            .rules()
-            .iter()
-            .any(|r| r.expansion_contains(&probe, &self.vocab))
+        GroundRule::access(category, purpose, role).is_ok_and(|g| self.matcher.covers(&g))
     }
 
     /// Enforces a request over `doc`.

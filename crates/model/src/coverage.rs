@@ -10,10 +10,10 @@ use crate::error::ModelError;
 use crate::ground::GroundRule;
 use crate::policy::Policy;
 use crate::range::{RangeSet, DEFAULT_RANGE_BUDGET};
-use crate::rule::Rule;
 use prima_vocab::Vocabulary;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// How the coverage engine evaluates Definition 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,8 +159,8 @@ impl CoverageEngine {
                 Ok(split_report(&range_y, |g| overlap_set.contains(g)))
             }
             Strategy::Lazy => {
-                let index = RuleIndex::new(px);
-                Ok(split_report(&range_y, |g| index.covers(g, vocab)))
+                let matcher = PolicyMatcher::new(px, vocab);
+                Ok(split_report(&range_y, |g| matcher.covers(g)))
             }
         }
     }
@@ -242,7 +242,7 @@ impl CoverageEngine {
         entries: &[GroundRule],
         vocab: &Vocabulary,
     ) -> EntryCoverageReport {
-        let index = RuleIndex::new(px);
+        let matcher = PolicyMatcher::new(px, vocab);
         // Audit trails are highly repetitive (the same few access shapes
         // repeated thousands of times), so memoize the verdict per distinct
         // ground rule instead of re-running subsumption per entry.
@@ -250,7 +250,7 @@ impl CoverageEngine {
         let mut covered = 0usize;
         let mut uncovered_indices = Vec::new();
         for (i, g) in entries.iter().enumerate() {
-            let hit = *verdicts.entry(g).or_insert_with(|| index.covers(g, vocab));
+            let hit = *verdicts.entry(g).or_insert_with(|| matcher.covers(g));
             if hit {
                 covered += 1;
             } else {
@@ -265,98 +265,73 @@ impl CoverageEngine {
     }
 }
 
-/// The single membership test both the borrowed [`RuleIndex`] and the
-/// owned [`PolicyMatcher`] reduce to, so batch and streaming coverage
-/// provably share subsumption semantics.
-fn rules_cover<R: std::borrow::Borrow<Rule>>(
-    rules: Option<&Vec<R>>,
-    g: &GroundRule,
-    vocab: &Vocabulary,
-) -> bool {
-    match rules {
-        Some(rules) => rules
-            .iter()
-            .any(|r| r.borrow().expansion_contains(g, vocab)),
-        None => false,
-    }
-}
-
-/// Index of a policy's rules keyed by attribute signature, so the lazy
-/// membership test only probes rules that could possibly match.
-struct RuleIndex<'a> {
-    by_signature: HashMap<Vec<&'a str>, Vec<&'a Rule>>,
-}
-
-impl<'a> RuleIndex<'a> {
-    fn new(policy: &'a Policy) -> Self {
-        let mut by_signature: HashMap<Vec<&'a str>, Vec<&'a Rule>> = HashMap::new();
-        for rule in policy.rules() {
-            let sig: Vec<&str> = rule.terms().iter().map(|t| t.attr.as_str()).collect();
-            by_signature.entry(sig).or_default().push(rule);
-        }
-        Self { by_signature }
-    }
-
-    fn covers(&self, g: &GroundRule, vocab: &Vocabulary) -> bool {
-        let sig: Vec<&str> = g.attrs().collect();
-        rules_cover(self.by_signature.get(&sig), g, vocab)
-    }
-}
-
-/// An owned, thread-shareable version of the lazy membership test: the
-/// policy's rules indexed by attribute signature, bundled with the
-/// vocabulary the subsumption check runs under.
+/// The one membership test every layer decides an access with: batch and
+/// streaming coverage, Prune, enforcement and serving all ask it, so their
+/// verdicts share Definition 6 semantics by construction.
 ///
-/// This is the unit the streaming pipeline distributes to its shard
-/// workers: it answers exactly the same question as
-/// [`CoverageEngine::entry_coverage`]'s internal index (both reduce to
-/// the same [`Rule::expansion_contains`] probe), so online verdicts match
-/// batch verdicts rule for rule.
+/// It owns the policy it indexes and the vocabulary the subsumption check
+/// runs under, so it can be shared across threads (the streaming pipeline
+/// hands it to its shard workers). Rules are grouped by attribute
+/// signature, so a probe only runs [`crate::Rule::expansion_contains`] against
+/// rules that could match; policies carry few distinct signatures, so
+/// the groups are scanned rather than hashed and a probe allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PolicyMatcher {
-    by_signature: HashMap<Vec<String>, Vec<Rule>>,
-    vocab: std::sync::Arc<Vocabulary>,
-    rule_count: usize,
+    policy: Policy,
+    /// `(attribute signature, positions in policy.rules())`.
+    by_signature: Vec<(Vec<String>, Vec<usize>)>,
+    vocab: Arc<Vocabulary>,
 }
 
 impl PolicyMatcher {
     /// Builds a matcher for `policy` under `vocab`.
     pub fn new(policy: &Policy, vocab: &Vocabulary) -> Self {
-        Self::with_shared_vocab(policy, std::sync::Arc::new(vocab.clone()))
+        Self::with_shared_vocab(policy, Arc::new(vocab.clone()))
     }
 
     /// Builds a matcher reusing an already-shared vocabulary (cheap when
     /// re-indexing after a policy refinement).
-    pub fn with_shared_vocab(policy: &Policy, vocab: std::sync::Arc<Vocabulary>) -> Self {
-        let mut by_signature: HashMap<Vec<String>, Vec<Rule>> = HashMap::new();
-        let mut rule_count = 0usize;
-        for rule in policy.rules() {
-            let sig: Vec<String> = rule.terms().iter().map(|t| t.attr.clone()).collect();
-            by_signature.entry(sig).or_default().push(rule.clone());
-            rule_count += 1;
+    pub fn with_shared_vocab(policy: &Policy, vocab: Arc<Vocabulary>) -> Self {
+        let mut by_signature: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
+        for (i, rule) in policy.rules().iter().enumerate() {
+            let attrs = rule.terms().iter().map(|t| t.attr.as_str());
+            match by_signature
+                .iter_mut()
+                .find(|(sig, _)| sig.iter().map(String::as_str).eq(attrs.clone()))
+            {
+                Some((_, positions)) => positions.push(i),
+                None => by_signature.push((attrs.map(str::to_string).collect(), vec![i])),
+            }
         }
         Self {
+            policy: policy.clone(),
             by_signature,
             vocab,
-            rule_count,
         }
     }
 
     /// True iff some rule of the indexed policy sanctions `g`
-    /// (Definition 6 equivalence, same probe as the batch engine).
+    /// (Definition 6 equivalence).
     pub fn covers(&self, g: &GroundRule) -> bool {
-        let sig: Vec<String> = g.attrs().map(str::to_string).collect();
-        rules_cover(self.by_signature.get(&sig), g, &self.vocab)
+        let rules = self.policy.rules();
+        self.by_signature
+            .iter()
+            .find(|(sig, _)| sig.iter().map(String::as_str).eq(g.attrs()))
+            .is_some_and(|(_, positions)| {
+                positions
+                    .iter()
+                    .any(|&i| rules[i].expansion_contains(g, &self.vocab))
+            })
+    }
+
+    /// The policy the matcher decides.
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// The vocabulary the matcher evaluates under.
-    pub fn vocab(&self) -> &std::sync::Arc<Vocabulary> {
+    pub fn vocab(&self) -> &Arc<Vocabulary> {
         &self.vocab
-    }
-
-    /// Number of rules indexed.
-    pub fn rule_count(&self) -> usize {
-        self.rule_count
     }
 }
 
@@ -364,6 +339,7 @@ impl PolicyMatcher {
 mod tests {
     use super::*;
     use crate::policy::StoreTag;
+    use crate::rule::Rule;
     use prima_vocab::samples::figure_1;
 
     fn ps() -> Policy {

@@ -11,6 +11,7 @@
 
 use crate::error::ModelError;
 use crate::term::RuleTerm;
+use prima_vocab::{ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -41,6 +42,20 @@ impl GroundRule {
             }
         }
         Ok(Self { terms })
+    }
+
+    /// The `(data, purpose, authorized)` access every layer decides on: an
+    /// audit entry, an enforcement request, a served decision. This is the
+    /// one checked way to build it.
+    ///
+    /// # Errors
+    /// [`ModelError::EmptyTerm`] if any value is empty after normalization.
+    pub fn access(data: &str, purpose: &str, authorized: &str) -> Result<Self, ModelError> {
+        Self::new(vec![
+            RuleTerm::new(ATTR_DATA, data)?,
+            RuleTerm::new(ATTR_PURPOSE, purpose)?,
+            RuleTerm::new(ATTR_AUTHORIZED, authorized)?,
+        ])
     }
 
     /// Convenience constructor from `(attr, value)` string pairs; panics on
@@ -138,6 +153,23 @@ mod tests {
             ModelError::DuplicateAttribute {
                 attr: "data".into()
             }
+        );
+    }
+
+    #[test]
+    fn access_is_the_canonical_three_field_rule() {
+        let g = GroundRule::access("Referral", "Registration", "Nurse").unwrap();
+        assert_eq!(
+            g,
+            GroundRule::of(&[
+                ("data", "referral"),
+                ("purpose", "registration"),
+                ("authorized", "nurse"),
+            ])
+        );
+        assert_eq!(
+            GroundRule::access("referral", "  ", "nurse"),
+            Err(ModelError::EmptyTerm)
         );
     }
 

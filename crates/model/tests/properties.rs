@@ -5,7 +5,9 @@
 //! the laws the paper's definitions imply.
 
 use prima_model::Strategy as CovStrategy;
-use prima_model::{compute_coverage, CoverageEngine, Policy, RangeSet, Rule, RuleTerm, StoreTag};
+use prima_model::{
+    compute_coverage, CoverageEngine, Policy, PolicyMatcher, RangeSet, Rule, RuleTerm, StoreTag,
+};
 use prima_vocab::samples::figure_1;
 use prima_vocab::synthetic::{synthetic_vocabulary, SyntheticSpec};
 use prima_vocab::Vocabulary;
@@ -113,17 +115,21 @@ proptest! {
     }
 
     #[test]
-    fn range_of_single_rule_matches_lazy_membership(
-        rule in arb_rule(&figure_1()),
+    fn policy_range_matches_matcher_membership(
+        p in arb_policy(&figure_1(), StoreTag::PolicyStore, 5),
         probe in arb_rule(&figure_1()),
     ) {
         let v = figure_1();
-        let p = Policy::with_rules(StoreTag::PolicyStore, vec![rule.clone()]);
         let range = RangeSet::of_policy(&p, &v).unwrap();
-        // Any ground rule of the probe's expansion: materialized membership
-        // must agree with the subsumption-based lazy check.
+        let matcher = PolicyMatcher::new(&p, &v);
+        // Any ground rule of the probe's expansion, and every member of the
+        // range itself: materialized membership must agree with the
+        // subsumption-based matcher.
         for g in probe.ground_expansion(&v).take(16) {
-            prop_assert_eq!(range.contains(&g), rule.expansion_contains(&g, &v));
+            prop_assert_eq!(matcher.covers(&g), range.contains(&g), "{}", g);
+        }
+        for g in range.iter() {
+            prop_assert!(matcher.covers(g), "{}", g);
         }
     }
 

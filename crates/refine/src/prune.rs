@@ -4,13 +4,13 @@
 //! The pseudocode takes the "set complement" of the two ranges:
 //! `usefulPatterns = Range(Patterns) \ Range(P_PS)`. Materializing
 //! `Range(P_PS)` can explode for broad composite policies, so the
-//! implementation uses the formal model's lazy membership test — a pattern
-//! is pruned iff some policy rule's expansion contains it — which is
+//! implementation asks the formal model's [`PolicyMatcher`] — a pattern is
+//! pruned iff some policy rule's expansion contains it — which is
 //! definitionally the same set (property-checked against the materialized
 //! complement in the tests).
 
 use prima_mining::Pattern;
-use prima_model::{Policy, RangeSet};
+use prima_model::{Policy, PolicyMatcher, RangeSet};
 use prima_vocab::Vocabulary;
 
 /// The result of pruning, keeping the evidence of what was already covered.
@@ -27,12 +27,8 @@ pub struct PruneOutcome {
 
 /// Algorithm 6 via lazy membership.
 pub fn prune(patterns: Vec<Pattern>, policy_store: &Policy, vocab: &Vocabulary) -> PruneOutcome {
-    let (already_covered, useful) = patterns.into_iter().partition(|p| {
-        policy_store
-            .rules()
-            .iter()
-            .any(|r| r.expansion_contains(&p.rule, vocab))
-    });
+    let matcher = PolicyMatcher::new(policy_store, vocab);
+    let (already_covered, useful) = patterns.into_iter().partition(|p| matcher.covers(&p.rule));
     PruneOutcome {
         useful,
         already_covered,

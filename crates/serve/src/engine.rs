@@ -1,7 +1,7 @@
 //! The decision engine: validated request → cached verdict.
 //!
-//! One engine holds one *policy snapshot* — an owned [`PolicyMatcher`]
-//! plus the `Policy::revision` it was built from — behind a `RwLock`,
+//! One engine holds one *policy snapshot* — an owned [`PolicyMatcher`],
+//! which carries the policy it was built from — behind a `RwLock`,
 //! next to the sharded decision cache. The hot path never takes the
 //! write side: a cache hit is a shard probe plus two atomic loads, and a
 //! miss takes the read lock just long enough to clone the `Arc` of the
@@ -11,9 +11,9 @@
 //!
 //! The engine keeps its own monotonic **epoch**, advanced on every
 //! effective [`DecisionEngine::install_policy`]. An install is effective
-//! when the incoming policy's `(revision, rules-fingerprint)` differs
-//! from the installed snapshot — the fingerprint catches the corner
-//! where two unrelated fresh policies both sit at revision 0. The
+//! when the incoming policy's `(revision, rules)` differs from the
+//! installed snapshot — comparing rules catches the corner where two
+//! unrelated fresh policies both sit at revision 0. The
 //! install order is what makes the cache coherent:
 //!
 //! 1. take the state write lock, build the new matcher;
@@ -35,9 +35,7 @@ use parking_lot::RwLock;
 use prima_hdb::ColumnMap;
 use prima_model::{GroundRule, Policy, PolicyMatcher};
 use prima_vocab::{Vocabulary, ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,14 +82,20 @@ impl fmt::Display for InstallError {
 
 impl std::error::Error for InstallError {}
 
-/// The installed policy snapshot. Guarded by one `RwLock` so matcher,
-/// revision and epoch always change together.
+/// The installed policy snapshot. Guarded by one `RwLock` so matcher
+/// and epoch always change together.
 #[derive(Debug)]
 struct PolicyState {
     matcher: Arc<PolicyMatcher>,
-    revision: u64,
-    fingerprint: u64,
     epoch: u64,
+}
+
+impl PolicyState {
+    /// True iff `policy` is the snapshot already installed.
+    fn holds(&self, policy: &Policy) -> bool {
+        let installed = self.matcher.policy();
+        installed.revision() == policy.revision() && installed.rules() == policy.rules()
+    }
 }
 
 /// The shared decision engine. All methods take `&self`; share it across
@@ -100,8 +104,8 @@ struct PolicyState {
 pub struct DecisionEngine {
     vocab: Arc<Vocabulary>,
     state: RwLock<PolicyState>,
-    /// Mirror of `state.revision` readable without the lock — the cache
-    /// hit path stamps replies from here.
+    /// Mirror of the installed policy's revision, readable without the
+    /// lock — the cache hit path stamps replies from here.
     revision: AtomicU64,
     cache: ShardedDecisionCache,
     columns: Option<ColumnMap>,
@@ -113,14 +117,6 @@ pub struct DecisionEngine {
     /// promotions wait; decisions keep flowing from the pinned snapshot.
     installs_held: AtomicBool,
     obs: ServeObs,
-}
-
-fn fingerprint(policy: &Policy) -> u64 {
-    let mut h = DefaultHasher::new();
-    for rule in policy.rules() {
-        rule.hash(&mut h);
-    }
-    h.finish()
 }
 
 impl DecisionEngine {
@@ -135,12 +131,7 @@ impl DecisionEngine {
         let matcher = Arc::new(PolicyMatcher::with_shared_vocab(policy, Arc::clone(&vocab)));
         Self {
             vocab,
-            state: RwLock::new(PolicyState {
-                matcher,
-                revision: policy.revision(),
-                fingerprint: fingerprint(policy),
-                epoch: 0,
-            }),
+            state: RwLock::new(PolicyState { matcher, epoch: 0 }),
             revision: AtomicU64::new(policy.revision()),
             cache: ShardedDecisionCache::new(shards),
             columns,
@@ -230,27 +221,21 @@ impl DecisionEngine {
     }
 
     fn install_validated(&self, policy: &Policy) -> bool {
-        let fp = fingerprint(policy);
-        {
-            let state = self.state.read();
-            if state.revision == policy.revision() && state.fingerprint == fp {
-                return false;
-            }
+        if self.state.read().holds(policy) {
+            return false;
         }
         let new_epoch;
         {
             let mut state = self.state.write();
             // Re-check under the write lock: a racing install may have
             // already brought this exact snapshot in.
-            if state.revision == policy.revision() && state.fingerprint == fp {
+            if state.holds(policy) {
                 return false;
             }
             state.matcher = Arc::new(PolicyMatcher::with_shared_vocab(
                 policy,
                 Arc::clone(&self.vocab),
             ));
-            state.revision = policy.revision();
-            state.fingerprint = fp;
             state.epoch += 1;
             new_epoch = state.epoch;
             self.revision.store(policy.revision(), Ordering::Release);
@@ -320,15 +305,15 @@ impl DecisionEngine {
         // Miss: probe the installed matcher. Clone the Arc under the read
         // lock and probe outside it, remembering the epoch of the
         // snapshot that computes this verdict.
+        let Ok(ground) = GroundRule::access(&req.op, &req.purpose, &req.role) else {
+            return self.deny(DenyReason::EmptyField);
+        };
         let (matcher, revision, stamp) = {
             let state = self.state.read();
-            (Arc::clone(&state.matcher), state.revision, state.epoch)
+            let matcher = Arc::clone(&state.matcher);
+            let revision = matcher.policy().revision();
+            (matcher, revision, state.epoch)
         };
-        let ground = GroundRule::of(&[
-            (ATTR_DATA, &req.op),
-            (ATTR_PURPOSE, &req.purpose),
-            (ATTR_AUTHORIZED, &req.role),
-        ]);
         let verdict = if !matcher.covers(&ground) {
             Verdict::Deny(DenyReason::PolicyDenied)
         } else if consent == Consent::OptedOut {
@@ -571,7 +556,7 @@ mod tests {
 
     #[test]
     fn distinct_policies_at_the_same_revision_still_invalidate() {
-        // Two fresh policies both sit at revision 0; the fingerprint must
+        // Two fresh policies both sit at revision 0; their rules must
         // tell them apart.
         let e = engine();
         let other = Policy::with_rules(

@@ -84,6 +84,14 @@ pub fn normalize(name: &str) -> String {
     out
 }
 
+/// True iff [`normalize`] maps `name` to the empty string, decided without
+/// allocating: every character is whitespace, `_` or `-` (separators are
+/// dropped and trailing `-` trimmed, so nothing else survives).
+pub fn normalizes_empty(name: &str) -> bool {
+    name.chars()
+        .all(|c| c.is_whitespace() || c == '_' || c == '-')
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,5 +117,18 @@ mod tests {
     #[test]
     fn normalize_empty_is_empty() {
         assert_eq!(normalize("   "), "");
+    }
+
+    #[test]
+    fn normalizes_empty_agrees_with_normalize() {
+        for name in [
+            "", "  ", "\t_ ", "-", "_-_", " - ", "a", " a ", "-a", "a-", "_x_", "Ä", "\u{a0}",
+        ] {
+            assert_eq!(
+                normalizes_empty(name),
+                normalize(name).is_empty(),
+                "{name:?}"
+            );
+        }
     }
 }

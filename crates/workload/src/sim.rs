@@ -2,11 +2,12 @@
 
 use crate::population::ZipfPopulation;
 use prima_audit::{AuditEntry, AuditStore};
-use prima_model::{GroundRule, Policy, Rule};
+use prima_model::{GroundRule, Policy, PolicyMatcher, Rule};
 use prima_vocab::{Vocabulary, ATTR_AUTHORIZED, ATTR_DATA, ATTR_PURPOSE};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A recurring informal-practice workflow: staff in `role` habitually
 /// access `data` for `purpose` through the exception mechanism. These are
@@ -43,11 +44,8 @@ impl PracticeCluster {
 
     /// The cluster's ground-truth rule.
     pub fn to_ground_rule(&self) -> GroundRule {
-        GroundRule::of(&[
-            (ATTR_DATA, &self.data),
-            (ATTR_PURPOSE, &self.purpose),
-            (ATTR_AUTHORIZED, &self.role),
-        ])
+        GroundRule::access(&self.data, &self.purpose, &self.role)
+            .expect("practice clusters name non-empty values")
     }
 }
 
@@ -116,8 +114,9 @@ impl Default for SimConfig {
 /// missing.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    vocab: Vocabulary,
-    policy: Policy,
+    /// The base policy and the vocabulary, which also decides whether a
+    /// sampled access is sanctioned.
+    matcher: PolicyMatcher,
     clusters: Vec<PracticeCluster>,
 }
 
@@ -125,8 +124,7 @@ impl Simulator {
     /// Creates a simulator.
     pub fn new(vocab: Vocabulary, policy: Policy, clusters: Vec<PracticeCluster>) -> Self {
         Self {
-            vocab,
-            policy,
+            matcher: PolicyMatcher::with_shared_vocab(&policy, Arc::new(vocab)),
             clusters,
         }
     }
@@ -141,7 +139,7 @@ impl Simulator {
 
     /// The base policy the trail is generated against.
     pub fn policy(&self) -> &Policy {
-        &self.policy
+        self.matcher.policy()
     }
 
     /// Generates a labelled trail of `config.n_entries` entries.
@@ -174,7 +172,7 @@ impl Simulator {
     }
 
     fn ground_values(&self, attr: &str) -> Vec<String> {
-        match self.vocab.attribute(attr) {
+        match self.matcher.vocab().attribute(attr) {
             Some(t) => t
                 .all_leaves()
                 .into_iter()
@@ -199,7 +197,7 @@ impl Simulator {
 
     /// Narrows a (possibly composite) value to one ground leaf.
     fn narrow(&self, rng: &mut StdRng, attr: &str, value: &str) -> String {
-        let leaves = self.vocab.ground_values(attr, value);
+        let leaves = self.matcher.vocab().ground_values(attr, value);
         leaves
             .choose(rng)
             .cloned()
@@ -240,7 +238,7 @@ impl Simulator {
     }
 
     fn pick_rule(&self, rng: &mut StdRng) -> Option<&Rule> {
-        let rules = self.policy.rules();
+        let rules = self.policy().rules();
         if rules.is_empty() {
             None
         } else {
@@ -296,13 +294,8 @@ impl Simulator {
             let d = data.choose(rng).expect("non-empty");
             let p = purposes.choose(rng).expect("non-empty");
             let r = roles.choose(rng).expect("non-empty");
-            let g = GroundRule::of(&[(ATTR_DATA, d), (ATTR_PURPOSE, p), (ATTR_AUTHORIZED, r)]);
-            let covered = self
-                .policy
-                .rules()
-                .iter()
-                .any(|rule| rule.expansion_contains(&g, &self.vocab));
-            if covered || cluster_rules.contains(&g) {
+            let g = GroundRule::access(d, p, r).expect("taxonomy leaves are non-empty");
+            if self.matcher.covers(&g) || cluster_rules.contains(&g) {
                 continue;
             }
             let user = Self::staff_name(rng, r, config, skew);
